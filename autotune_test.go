@@ -185,3 +185,29 @@ func TestAutoTuneNoSwapWhenBest(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// forceSwap builds an auto-tuned DB over g serving `from`, whose
+// background loop never fires, and publishes a `to` index through the
+// advisor's swap path — the state a completed evaluation that picked
+// `to` leaves behind, without waiting on evaluation timing.
+func forceSwap(t *testing.T, g *Graph, from, to Kind, metrics bool) *DB {
+	t.Helper()
+	db, err := NewDB(g, DBConfig{
+		Plain:    from,
+		Metrics:  metrics,
+		AutoTune: &AutoTuneConfig{CheckInterval: time.Hour, Candidates: []Kind{to}},
+	})
+	if err != nil {
+		t.Fatalf("NewDB: %v", err)
+	}
+	t.Cleanup(func() { db.Close() })
+	ix, err := Build(to, g, db.aut.opt)
+	if err != nil {
+		t.Fatalf("Build %s: %v", to, err)
+	}
+	db.aut.publish(string(to), ix)
+	if status, _ := db.AdvisorStatus(); status.CurrentKind != string(to) || status.Metrics.Swaps != 1 {
+		t.Fatalf("forced swap: status %+v", status)
+	}
+	return db
+}

@@ -41,11 +41,6 @@ const batchGrain = 16
 // its size; individual queries record through the wrapper as usual — the
 // per-query counters are atomic, so concurrent workers stay race-free.
 //
-// Workers claim grain-sized runs of the batch from a shared atomic
-// counter rather than pre-assigned static chunks, so a cluster of
-// expensive queries (negative queries that exhaust a guided fallback)
-// cannot leave the other workers idle while one drains its chunk.
-//
 // Throughput-oriented workloads (the §5 "many negative queries" regime)
 // are embarrassingly parallel; this helper is the §5 parallel-computation
 // direction applied to the query side. A panic inside the index on any
@@ -55,9 +50,9 @@ const batchGrain = 16
 // into blocks of 64 pairs and each block is answered by ONE multi-source
 // BFS sweep (traversal.MultiSourceReach) in which every pair owns one bit
 // of a per-vertex frontier word — ~len(pairs)/64 graph sweeps instead of
-// len(pairs) separate searches. This is how to evaluate a batch when no
-// index has been built (ad-hoc analytics, or validating a build), and it
-// is exact on general graphs.
+// len(pairs) separate searches. It is the no-index path (ad-hoc
+// analytics, or validating a build), exact on general graphs; a DB's
+// batches go through its serving index instead (DB.BatchReachCtx).
 func BatchReach(ix Index, g *Graph, pairs []Pair, workers int) (out []bool, err error) {
 	return BatchReachCtx(nil, ix, g, pairs, workers)
 }
@@ -67,51 +62,21 @@ func BatchReach(ix Index, g *Graph, pairs []Pair, workers int) (out []bool, err 
 // path) and the batch returns ctx.Err() with no partial results when the
 // context is canceled or past its deadline. A nil ctx never cancels.
 func BatchReachCtx(ctx context.Context, ix Index, g *Graph, pairs []Pair, workers int) (out []bool, err error) {
-	n := g.N()
-	for _, p := range pairs {
-		if err := core.CheckPair(n, p.S, p.T); err != nil {
-			return nil, err
-		}
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		done = ctx.Done()
-	}
-	// stop is the workers' cooperative poll: claims already running finish,
-	// no further ones start, and the batch reports ctx.Err().
-	stop := func() bool {
-		if done == nil {
-			return false
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	if bo, ok := ix.(batchObserver); ok {
-		bo.ObserveBatch(len(pairs))
-	}
 	if workers < 0 {
 		workers = 0 // documented contract: <= 0 selects GOMAXPROCS
 	}
-	defer core.Recover(&err)
-	out = make([]bool, len(pairs))
-	if ix == nil {
+	n := g.N()
+	if ix != nil {
+		return reachLoop(ctx, n, pairs, workers, ix, ix.Reach)
+	}
+	return runBatch(ctx, n, pairs, func(out []bool, stop func() bool) {
 		blocks := (len(pairs) + traversal.WordSources - 1) / traversal.WordSources
 		par.Do(workers, blocks, func(b int) {
 			if stop() {
 				return
 			}
 			lo := b * traversal.WordSources
-			hi := lo + traversal.WordSources
-			if hi > len(pairs) {
-				hi = len(pairs)
-			}
+			hi := min(lo+traversal.WordSources, len(pairs))
 			sc := scratch.Get(0)
 			defer scratch.Put(sc)
 			words := sc.Words(n)
@@ -125,16 +90,61 @@ func BatchReachCtx(ctx context.Context, ix Index, g *Graph, pairs []Pair, worker
 				out[i] = words[pairs[i].T]&(1<<uint(i-lo)) != 0
 			}
 		})
-	} else {
+	})
+}
+
+// reachLoop is the indexed batch loop shared by BatchReachCtx and
+// DB.BatchReachCtx. Workers claim batchGrain-sized runs of pairs from a
+// shared counter (work stealing: a cluster of expensive negatives cannot
+// strand one worker with a long static chunk) and answer each pair with
+// reach, polling for cancellation once per grain — also on the serial
+// path, where one claim spans the whole batch. The batch is counted on ix
+// when that is an instrumented index.
+func reachLoop(ctx context.Context, n int, pairs []Pair, workers int, ix Index, reach func(s, t V) bool) ([]bool, error) {
+	return runBatch(ctx, n, pairs, func(out []bool, stop func() bool) {
+		if bo, ok := ix.(batchObserver); ok {
+			bo.ObserveBatch(len(pairs))
+		}
 		par.DoGrain(workers, len(pairs), batchGrain, func(_, lo, hi int) {
-			if stop() {
-				return
-			}
 			for i := lo; i < hi; i++ {
-				out[i] = ix.Reach(pairs[i].S, pairs[i].T)
+				if (i-lo)%batchGrain == 0 && stop() {
+					return
+				}
+				out[i] = reach(pairs[i].S, pairs[i].T)
 			}
 		})
+	})
+}
+
+// runBatch holds the batch contract around one answering loop: every
+// pair is validated against an n-vertex graph before any work runs, an
+// already-done ctx returns its error, loop's workers poll stop between
+// claims, a batch canceled midway returns ctx.Err() with no partial
+// results, and a panic on any worker surfaces as ErrIndexPanic.
+func runBatch(ctx context.Context, n int, pairs []Pair, loop func(out []bool, stop func() bool)) (out []bool, err error) {
+	for _, p := range pairs {
+		if err := core.CheckPair(n, p.S, p.T); err != nil {
+			return nil, err
+		}
 	}
+	var done <-chan struct{}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		done = ctx.Done()
+	}
+	stop := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	defer core.Recover(&err)
+	out = make([]bool, len(pairs))
+	loop(out, stop)
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	reach "repro"
@@ -104,8 +105,10 @@ type labelBench struct {
 
 // accelReport records the query-path acceleration measurements: the
 // index-free batch kernel against a sequential per-pair BFS loop over the
-// same pairs (CI gates on batch_speedup >= 1), and the DB result cache
-// against an uncached DB on a hot-pair workload. The batch workload is a
+// same pairs (CI gates on batch_speedup >= 1), DB.BatchReachCtx through
+// the serving index over those pairs (CI gates on db_batch_ns <=
+// batch_kernel_ns), and the DB result cache against an uncached DB on a
+// hot-pair workload. The batch workload is a
 // denser DAG than the per-kind one above — the kernel's win is the overlap
 // of the sources' reachable sets, which a 4-edges/vertex DAG barely has.
 type accelReport struct {
@@ -115,6 +118,7 @@ type accelReport struct {
 	BatchKernelNs     int64   `json:"batch_kernel_ns"`
 	BatchSequentialNs int64   `json:"batch_sequential_ns"`
 	BatchSpeedup      float64 `json:"batch_speedup"`
+	DBBatchNs         int64   `json:"db_batch_ns"`
 	DBCachedNsOp      float64 `json:"db_cached_ns_op"`
 	DBUncachedNsOp    float64 `json:"db_uncached_ns_op"`
 	DBCacheSpeedup    float64 `json:"db_cache_speedup"`
@@ -501,6 +505,16 @@ func measureAccel(scale int, seed int64) *accelReport {
 		panic(err)
 	}
 	a.DBUncachedNsOp = float64(sweep(udb).Nanoseconds()) / queries
+	udb.BatchReachCtx(context.Background(), pairs[:64])
+	start = time.Now()
+	dbOut, err := udb.BatchReachCtx(context.Background(), pairs)
+	a.DBBatchNs = time.Since(start).Nanoseconds()
+	if err != nil {
+		panic(err)
+	}
+	if !slices.Equal(dbOut, kernelOut) {
+		panic("DB batch diverged from the batch kernel")
+	}
 	cdb, err := reach.NewDB(g, reach.DBConfig{CacheSize: 4096})
 	if err != nil {
 		panic(err)

@@ -339,14 +339,14 @@ func NewDBCtx(ctx context.Context, g *Graph, cfg DBConfig) (*DB, error) {
 				return nil, err
 			}
 			db.lcrErr = err
-			db.countBuildFault(err)
+			db.countFault(err)
 		}
 		if db.rlc, err = BuildRLCCtx(ctx, g, cfg.Options); err != nil {
 			if !degradable(cfg, err) {
 				return nil, err
 			}
 			db.rlcErr = err
-			db.countBuildFault(err)
+			db.countFault(err)
 		}
 	}
 	if db.metrics != nil {
@@ -412,7 +412,8 @@ func degradable(cfg DBConfig, err error) bool {
 		(errors.Is(err, ErrIndexPanic) || errors.Is(err, ErrBuildCanceled))
 }
 
-func (db *DB) countBuildFault(err error) {
+// countFault counts a contained build or query fault when metrics are on.
+func (db *DB) countFault(err error) {
 	if db.metrics == nil {
 		return
 	}
@@ -523,17 +524,8 @@ func (db *DB) boundary(errp *error) {
 	if r == nil {
 		return
 	}
-	err := core.PanicError(r)
-	*errp = err
-	if db.metrics != nil {
-		db.metrics.Errors.Inc()
-		if errors.Is(err, ErrIndexPanic) {
-			db.metrics.Panics.Inc()
-		}
-		if errors.Is(err, ErrBuildCanceled) {
-			db.metrics.Canceled.Inc()
-		}
-	}
+	*errp = core.PanicError(r)
+	db.countFault(*errp)
 }
 
 // Reach answers the plain reachability query Qr(s, t). Out-of-range

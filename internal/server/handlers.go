@@ -6,6 +6,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -217,9 +218,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		pairs[i] = reach.Pair{S: sv, T: tv}
 	}
-	// The DB picks the batch path: the 64-way bit-parallel kernel when
-	// the graph is frozen (or the mutation overlay is empty), exact
-	// per-pair overlay evaluation when live mutations are pending.
+	// The DB answers the batch through its serving state: the serving
+	// index (or the delta-overlay path while mutations are pending), or
+	// the per-shard indexes on a sharded DB.
 	out, err := db.BatchReachCtx(r.Context(), pairs)
 	if err != nil {
 		s.writeQueryErr(w, r, err)
@@ -526,15 +527,20 @@ func vertexOf(g *reach.Graph, tok string) (reach.V, error) {
 		return 0, errors.New("missing vertex")
 	}
 	if n, err := strconv.ParseUint(tok, 10, 32); err == nil {
-		if int(n) >= g.N() {
-			return 0, fmt.Errorf("vertex %d out of range (graph has %d vertices)", n, g.N())
-		}
-		return reach.V(n), nil
+		return vertexID(g, n)
 	}
 	if v, ok := g.VertexByName(tok); ok {
 		return v, nil
 	}
 	return 0, fmt.Errorf("unknown vertex %q", tok)
+}
+
+// vertexID resolves a decimal vertex id, refusing one past the graph.
+func vertexID(g *reach.Graph, n uint64) (reach.V, error) {
+	if n >= uint64(g.N()) {
+		return 0, fmt.Errorf("vertex %d out of range (graph has %d vertices)", n, g.N())
+	}
+	return reach.V(n), nil
 }
 
 // labelOf resolves a label token: a decimal label id, or a label name.
@@ -554,19 +560,22 @@ func labelOf(g *reach.Graph, tok string) (reach.Label, error) {
 }
 
 // vertexRef is a JSON vertex reference: a number (id) or a string (id or
-// name).
+// name). A token of ASCII digits that fits a uint32 — the common batch
+// case — is parsed straight into id; every other token keeps its text
+// in raw for vertexOf, which resolves it exactly as before.
 type vertexRef struct {
-	raw string
+	raw  string
+	id   uint32
+	isID bool
 }
 
 func (v *vertexRef) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v.raw = s
+	if id, ok := digitsID(b); ok {
+		*v = vertexRef{id: id, isID: true}
 		return nil
+	}
+	if len(b) > 0 && b[0] == '"' {
+		return json.Unmarshal(b, &v.raw)
 	}
 	var n json.Number
 	if err := json.Unmarshal(b, &n); err != nil {
@@ -576,7 +585,26 @@ func (v *vertexRef) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// digitsID parses a non-empty run of ASCII digits as a uint32, the same
+// tokens strconv.ParseUint(tok, 10, 32) accepts.
+func digitsID(b []byte) (uint32, bool) {
+	if len(b) == 0 || len(b) > 10 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return uint32(n), n <= math.MaxUint32
+}
+
 func (v vertexRef) resolve(g *reach.Graph) (reach.V, error) {
+	if v.isID {
+		return vertexID(g, uint64(v.id))
+	}
 	return vertexOf(g, v.raw)
 }
 

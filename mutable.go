@@ -687,37 +687,25 @@ func (st *mutState) witnessPath(s, t V) []V {
 }
 
 // BatchReachCtx evaluates many plain reachability queries against the
-// live graph. On a sharded DB the batch scatter-gathers across the
-// per-shard indexes; on a DB with an empty (or no) overlay it runs the
-// 64-way bit-parallel batch kernel over the current frozen graph; with a
-// non-empty overlay each pair is answered by the exact delta-overlay
-// path, polling ctx periodically.
+// live graph, loading the serving state once. A sharded DB
+// scatter-gathers across its per-shard indexes. Every other DB answers
+// each pair on all cores the way ReachCtx does: through the advisor's
+// current index on a frozen DB, through the delta-overlay path (a plain
+// index probe while the overlay is empty) on a mutable one. A contained
+// index panic is counted like a point query's.
 func (db *DB) BatchReachCtx(ctx context.Context, pairs []Pair) (out []bool, err error) {
-	if db.mut == nil {
-		if sx, ok := shardEngine(db.plain); ok {
-			return db.shardBatch(ctx, sx, pairs)
-		}
-		return BatchReachCtx(ctx, nil, db.g, pairs, 0)
+	switch sx, sharded := shardEngine(db.plain); {
+	case db.mut != nil:
+		st := db.mut.state.Load()
+		out, err = reachLoop(ctx, st.g.N(), pairs, 0, st.ix, st.reach)
+	case sharded:
+		return db.shardBatch(ctx, sx, pairs)
+	default:
+		ix := db.plainCurrent()
+		out, err = reachLoop(ctx, db.g.N(), pairs, 0, ix, ix.Reach)
 	}
-	st := db.mut.state.Load()
-	if st.ov.Empty() {
-		return BatchReachCtx(ctx, nil, st.g, pairs, 0)
+	if errors.Is(err, ErrIndexPanic) {
+		db.countFault(err)
 	}
-	n := st.g.N()
-	for _, p := range pairs {
-		if err := core.CheckPair(n, p.S, p.T); err != nil {
-			return nil, err
-		}
-	}
-	defer db.boundary(&err)
-	out = make([]bool, len(pairs))
-	for i, p := range pairs {
-		if ctx != nil && i%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		out[i] = st.reach(p.S, p.T)
-	}
-	return out, nil
+	return out, err
 }

@@ -237,8 +237,7 @@ func (db *DB) ShardInfo() (shards []ShardStats, summary ShardSummaryStats, ok bo
 }
 
 // shardBatch routes a DB batch through the sharded engine's
-// scatter-gather path (instead of the index-free bit-parallel kernel the
-// unsharded DB uses).
+// scatter-gather path.
 func (db *DB) shardBatch(ctx context.Context, sx *shard.Index, pairs []Pair) (out []bool, err error) {
 	defer db.boundary(&err)
 	if ob, ok := db.plain.(batchObserver); ok {

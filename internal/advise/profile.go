@@ -59,7 +59,8 @@ func ProfileGraph(prep *core.Prepared) GraphProfile {
 	dag := cond.DAG
 	p.SCCs = dag.N()
 	inCyc := 0
-	for _, sz := range cond.Size {
+	for _, s := range cond.Size {
+		sz := int(s)
 		if sz > p.LargestSCC {
 			p.LargestSCC = sz
 		}

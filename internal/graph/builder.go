@@ -190,45 +190,76 @@ func (b *Builder) Freeze() (*Digraph, error) {
 
 	g := &Digraph{n: b.n, m: len(es), numLabels: b.numLabels,
 		labelName: b.labelName, vertName: b.vertName, names: &nameIndex{}}
+	// The edges are sorted by From, so the forward rows are consecutive
+	// runs of es.
 	g.succOff = make([]uint32, b.n+1)
-	g.predOff = make([]uint32, b.n+1)
 	g.succ = make([]V, len(es))
-	g.pred = make([]V, len(es))
 	if b.labeled {
 		g.succLab = make([]Label, len(es))
-		g.predLab = make([]Label, len(es))
 	}
-	for _, e := range es {
+	for i, e := range es {
 		g.succOff[e.From+1]++
-		g.predOff[e.To+1]++
-	}
-	for v := 0; v < b.n; v++ {
-		g.succOff[v+1] += g.succOff[v]
-		g.predOff[v+1] += g.predOff[v]
-	}
-	fill := make([]uint32, b.n)
-	for _, e := range es {
-		i := g.succOff[e.From] + fill[e.From]
-		fill[e.From]++
 		g.succ[i] = e.To
 		if b.labeled {
 			g.succLab[i] = e.Label
 		}
 	}
-	for i := range fill {
-		fill[i] = 0
+	for v := 0; v < b.n; v++ {
+		g.succOff[v+1] += g.succOff[v]
 	}
-	// Edges are sorted by From, so filling pred in this order yields
-	// pred lists sorted by predecessor id.
-	for _, e := range es {
-		i := g.predOff[e.To] + fill[e.To]
-		fill[e.To]++
-		g.pred[i] = e.From
-		if b.labeled {
-			g.predLab[i] = e.Label
+	g.transpose()
+	return g, nil
+}
+
+// FromCSR returns the n-vertex Digraph whose forward adjacency is the CSR
+// (succOff, succ, succLab): the successors of v are succ[succOff[v]:
+// succOff[v+1]], each row sorted by (To, Label) and free of duplicate
+// (To, Label) pairs — the layout Freeze produces. succLab is nil for an
+// unlabeled graph; numLabels is the label-universe size. The slices are
+// adopted, not copied, and the reverse adjacency is derived from them.
+// Callers that already hold sorted rows (scc.Condense) use this to skip
+// the Builder's edge list and its global sort.
+func FromCSR(n, numLabels int, succOff []uint32, succ []V, succLab []Label) *Digraph {
+	g := &Digraph{n: n, m: len(succ), numLabels: numLabels, names: &nameIndex{},
+		succOff: succOff, succ: succ, succLab: succLab}
+	g.transpose()
+	return g
+}
+
+// transpose derives the reverse CSR (predOff, pred, predLab) from the
+// forward CSR by a counting transpose. Rows are scanned in ascending
+// source order, so every pred list comes out sorted by predecessor id,
+// and a predecessor with several labels on one edge keeps them in label
+// order.
+func (g *Digraph) transpose() {
+	n, m := g.n, len(g.succ)
+	// off[v+2] counts v's in-degree; after the prefix sum off[v+1] is v's
+	// first slot and serves as its fill cursor, so once every edge is
+	// placed off[v+1] is v's end — off[:n+1] is then the finished offset
+	// table, without a separate cursor array.
+	off := make([]uint32, n+2)
+	for _, v := range g.succ {
+		off[v+2]++
+	}
+	for v := 2; v < n+2; v++ {
+		off[v] += off[v-1]
+	}
+	g.pred = make([]V, m)
+	if g.succLab != nil {
+		g.predLab = make([]Label, m)
+	}
+	for u := 0; u < n; u++ {
+		for i := g.succOff[u]; i < g.succOff[u+1]; i++ {
+			v := g.succ[i]
+			j := off[v+1]
+			off[v+1]++
+			g.pred[j] = V(u)
+			if g.succLab != nil {
+				g.predLab[j] = g.succLab[i]
+			}
 		}
 	}
-	return g, nil
+	g.predOff = off[:n+1]
 }
 
 // MustFreeze is Freeze that panics on error; for tests and generators whose
@@ -290,13 +321,24 @@ func Mutate(g *Digraph) *Builder {
 // graph (Mutate) keeps its sorted edge list and the next Freeze skips
 // sorting entirely instead of re-sorting to repair displaced elements.
 func (b *Builder) RemoveEdge(e Edge) bool {
-	kept := b.edges[:0]
-	for _, x := range b.edges {
-		if x != e {
-			kept = append(kept, x)
-		}
+	n := len(b.edges)
+	b.edges = slices.DeleteFunc(b.edges, func(x Edge) bool { return x == e })
+	return len(b.edges) < n
+}
+
+// RemoveEdges deletes every occurrence of every edge in drop, with
+// RemoveEdge's semantics and order preservation, in one pass over the
+// edge list however many edges drop holds, and returns how many edge
+// entries it deleted. Folding r removals into a graph of m edges costs
+// O(m) instead of the O(m·r) of r RemoveEdge calls.
+func (b *Builder) RemoveEdges(drop map[Edge]struct{}) int {
+	if len(drop) == 0 {
+		return 0
 	}
-	removed := len(kept) < len(b.edges)
-	b.edges = kept
-	return removed
+	n := len(b.edges)
+	b.edges = slices.DeleteFunc(b.edges, func(x Edge) bool {
+		_, ok := drop[x]
+		return ok
+	})
+	return n - len(b.edges)
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -181,6 +183,117 @@ func TestBuilderRemoveEdgeViaMutate(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("edges = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestBuilderRemoveEdges: the one-pass set removal deletes every
+// occurrence of every listed edge (duplicates, self-loops, exact label
+// match), reports how many entries it deleted, and leaves the builder
+// exactly as the equivalent sequence of RemoveEdge calls would.
+func TestBuilderRemoveEdges(t *testing.T) {
+	set := func(es ...Edge) map[Edge]struct{} {
+		m := make(map[Edge]struct{}, len(es))
+		for _, e := range es {
+			m[e] = struct{}{}
+		}
+		return m
+	}
+	tests := []struct {
+		name    string
+		edges   []Edge
+		drop    map[Edge]struct{}
+		removed int
+		want    []Edge
+	}{
+		{
+			name:  "nil set is a no-op",
+			edges: []Edge{{From: 0, To: 1}, {From: 1, To: 2}},
+			want:  []Edge{{From: 0, To: 1}, {From: 1, To: 2}},
+		},
+		{
+			name:  "absent edges remove nothing",
+			edges: []Edge{{From: 0, To: 1}},
+			drop:  set(Edge{From: 1, To: 0}, Edge{From: 2, To: 2}),
+			want:  []Edge{{From: 0, To: 1}},
+		},
+		{
+			name:    "duplicates and self-loops all go",
+			edges:   []Edge{{From: 0, To: 1}, {From: 2, To: 2}, {From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 2}},
+			drop:    set(Edge{From: 0, To: 1}, Edge{From: 2, To: 2}),
+			removed: 4,
+			want:    []Edge{{From: 1, To: 2}},
+		},
+		{
+			name:    "labels must match exactly",
+			edges:   []Edge{{From: 0, To: 1, Label: 0}, {From: 0, To: 1, Label: 3}, {From: 1, To: 2, Label: 3}},
+			drop:    set(Edge{From: 0, To: 1, Label: 3}, Edge{From: 1, To: 2, Label: 1}),
+			removed: 1,
+			want:    []Edge{{From: 0, To: 1, Label: 0}, {From: 1, To: 2, Label: 3}},
+		},
+		{
+			name:    "every edge",
+			edges:   []Edge{{From: 0, To: 1}, {From: 1, To: 0}},
+			drop:    set(Edge{From: 0, To: 1}, Edge{From: 1, To: 0}),
+			removed: 2,
+			want:    nil,
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewLabeledBuilder(3)
+			for _, e := range tc.edges {
+				b.AddLabeledEdge(e.From, e.To, e.Label)
+			}
+			if got := b.RemoveEdges(tc.drop); got != tc.removed {
+				t.Fatalf("RemoveEdges = %d, want %d", got, tc.removed)
+			}
+			got := frozenEdges(t, b)
+			if len(got) != len(tc.want) {
+				t.Fatalf("frozen edges = %v, want %v", got, tc.want)
+			}
+			for i := range tc.want {
+				if got[i] != tc.want[i] {
+					t.Fatalf("frozen edges = %v, want %v", got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestBuilderRemoveEdgesMatchesRemoveEdge removes a random set from a
+// Mutate-loaded builder and requires the result to equal removing the
+// same edges one RemoveEdge call at a time, entry for entry and in the
+// same order — so the sorted list stays sorted and Freeze skips the sort.
+func TestBuilderRemoveEdgesMatchesRemoveEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 20; iter++ {
+		n := 5 + rng.Intn(40)
+		var pairs [][2]V
+		for i := 0; i < 4*n; i++ {
+			pairs = append(pairs, [2]V{V(rng.Intn(n)), V(rng.Intn(n))})
+		}
+		g := FromEdges(n, pairs)
+		one, all := Mutate(g), Mutate(g)
+		drop := make(map[Edge]struct{})
+		for i := 0; i < 1+rng.Intn(2*n); i++ {
+			e := Edge{From: V(rng.Intn(n)), To: V(rng.Intn(n))}
+			drop[e] = struct{}{}
+		}
+		want := 0
+		for e := range drop {
+			before := len(one.edges)
+			one.RemoveEdge(e)
+			want += before - len(one.edges)
+		}
+		if got := all.RemoveEdges(drop); got != want {
+			t.Fatalf("iter %d: RemoveEdges = %d, sequential RemoveEdge removed %d", iter, got, want)
+		}
+		if !slices.Equal(all.edges, one.edges) {
+			t.Fatalf("iter %d: edge lists differ", iter)
+		}
+		if !slices.IsSortedFunc(all.edges, cmpEdge) {
+			t.Fatalf("iter %d: removal broke the sorted order of a Mutate-loaded builder", iter)
 		}
 	}
 }

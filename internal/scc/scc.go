@@ -9,6 +9,8 @@
 package scc
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -116,40 +118,109 @@ type Condensation struct {
 	// Comp maps an original vertex to its DAG vertex.
 	Comp []uint32
 	// Size[c] is the number of original vertices in component c.
-	Size []int
+	Size []uint32
 }
 
 // Condense computes the condensation of g. Edge labels are preserved:
 // a labeled edge (u, l, v) between distinct components becomes the labeled
-// edge (comp(u), l, comp(v)) in the DAG (deduplicated).
+// edge (comp(u), l, comp(v)) in the DAG (deduplicated). A labeled g keeps
+// its label universe size even if some labels only occur inside SCCs.
+//
+// The DAG is laid out straight into CSR form: count each component's
+// out-degree over g's rows (skipping intra-component edges), fill the
+// rows, then sort and deduplicate each row by (To, Label). Sorting the
+// short rows independently costs far less than sorting one global edge
+// list, and the result is the layout graph.Builder.Freeze would produce.
 func Condense(g *graph.Digraph) *Condensation {
 	c := Tarjan(g)
-	var b *graph.Builder
-	if g.Labeled() {
-		b = graph.NewLabeledBuilder(c.Count)
-		// Preserve the label universe size even if some labels only occur
-		// inside SCCs.
-		b.ReserveLabels(g.Labels())
-	} else {
-		b = graph.NewBuilder(c.Count)
-	}
-	g.Edges(func(e graph.Edge) bool {
-		cu, cv := c.Comp[e.From], c.Comp[e.To]
-		if cu != cv {
-			if g.Labeled() {
-				b.AddLabeledEdge(cu, cv, e.Label)
-			} else {
-				b.AddEdge(cu, cv)
+	comp, k := c.Comp, c.Count
+	labeled := g.Labeled()
+
+	// off[c+2] counts c's outgoing cross-component edges; after the prefix
+	// sum off[c+1] is c's first slot and its fill cursor, leaving off[c+1]
+	// at c's end once every edge is placed (the same trick as the graph
+	// package's transpose).
+	off := make([]uint32, k+2)
+	for u := 0; u < g.N(); u++ {
+		cu := comp[u]
+		for _, v := range g.Succ(graph.V(u)) {
+			if comp[v] != cu {
+				off[cu+2]++
 			}
 		}
-		return true
-	})
-	dag := b.MustFreeze()
-	size := make([]int, c.Count)
-	for _, cc := range c.Comp {
+	}
+	for i := 2; i < k+2; i++ {
+		off[i] += off[i-1]
+	}
+	total := off[k+1]
+	succ := make([]graph.V, total)
+	var lab []graph.Label
+	if labeled {
+		lab = make([]graph.Label, total)
+	}
+	for u := 0; u < g.N(); u++ {
+		cu := comp[u]
+		succU := g.Succ(graph.V(u))
+		var labU []graph.Label
+		if labeled {
+			labU = g.SuccLabels(graph.V(u))
+		}
+		for i, v := range succU {
+			if cv := comp[v]; cv != cu {
+				j := off[cu+1]
+				off[cu+1]++
+				succ[j] = cv
+				if labeled {
+					lab[j] = labU[i]
+				}
+			}
+		}
+	}
+	off = off[:k+1]
+
+	// Sort and deduplicate each row in place, compacting the rows toward
+	// the front. A labeled row is sorted as packed (To, Label) keys.
+	var keys []uint64
+	w, lo := uint32(0), uint32(0)
+	for cc := 0; cc < k; cc++ {
+		hi := off[cc+1]
+		off[cc] = w
+		if !labeled {
+			row := succ[lo:hi]
+			slices.Sort(row)
+			w += uint32(copy(succ[w:], slices.Compact(row)))
+		} else {
+			keys = keys[:0]
+			for i := lo; i < hi; i++ {
+				keys = append(keys, uint64(succ[i])<<16|uint64(lab[i]))
+			}
+			slices.Sort(keys)
+			for _, key := range slices.Compact(keys) {
+				succ[w], lab[w] = graph.V(key>>16), graph.Label(key)
+				w++
+			}
+		}
+		lo = hi
+	}
+	off[k] = w
+	if w < total {
+		// Parallel edges collapsed: keep exactly-sized arrays, as Freeze does.
+		succ = slices.Clone(succ[:w])
+		if labeled {
+			lab = slices.Clone(lab[:w])
+		}
+	}
+
+	size := make([]uint32, k)
+	for _, cc := range comp {
 		size[cc]++
 	}
-	return &Condensation{DAG: dag, Comp: c.Comp, Size: size}
+	numLabels := 0
+	if labeled {
+		numLabels = g.Labels()
+	}
+	dag := graph.FromCSR(k, numLabels, off, succ, lab)
+	return &Condensation{DAG: dag, Comp: comp, Size: size}
 }
 
 // SameComponent reports whether u and v are in the same SCC.

@@ -56,7 +56,7 @@ func TestCondenseIsDAG(t *testing.T) {
 	}
 	total := 0
 	for _, s := range cond.Size {
-		total += s
+		total += int(s)
 	}
 	if total != g.N() {
 		t.Fatalf("component sizes sum to %d, want %d", total, g.N())

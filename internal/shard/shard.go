@@ -125,7 +125,7 @@ func NewPlan(prep *core.Prepared, k, workers int) *Plan {
 	// Original-vertex census per shard.
 	p.verts = make([]int, k)
 	for c, sz := range cond.Size {
-		p.verts[p.shardOf[c]] += sz
+		p.verts[p.shardOf[c]] += int(sz)
 	}
 
 	// Sub-DAGs (intra-shard edges, local ids) and the cut-edge census.

@@ -371,9 +371,11 @@ func (mdb *mutDB) rebuildOnce() (err error) {
 		return nil
 	}
 	b := graph.Mutate(snapSt.g)
+	removed := make(map[graph.Edge]struct{}, snap.RemovedCount())
 	snap.RemovedEdges(func(u, v uint32) {
-		b.RemoveEdge(graph.Edge{From: u, To: v})
+		removed[graph.Edge{From: u, To: v}] = struct{}{}
 	})
+	b.RemoveEdges(removed)
 	snap.AddedEdges(func(u, v uint32) {
 		b.AddEdge(u, v)
 	})

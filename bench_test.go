@@ -8,6 +8,7 @@ package reach_test
 import (
 	"context"
 	"io"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -407,6 +408,38 @@ func BenchmarkE11_BatchReach(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reach.BatchReach(ix, g, pairs, 0)
+	}
+}
+
+// BenchmarkMutableReach_Overlay times a point read on a mutable DB whose
+// overlay holds a pinned 2 048-op mixed script (adds and removals,
+// rebuilds off), so most reads take the bidirectional overlay search.
+func BenchmarkMutableReach_Overlay(b *testing.B) {
+	g := gen.RandomDAG(gen.Config{N: 20000, M: 80000, Seed: 3})
+	db, err := reach.NewDB(g, reach.DBConfig{Mutation: &reach.MutationConfig{
+		WALPath: filepath.Join(b.TempDir(), "bench.wal"), Fsync: reach.FsyncNever, RebuildThreshold: -1,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	script := gen.UpdateScript(g, 2048, true, 4)
+	ops := make([]reach.EdgeOp, len(script))
+	for i, u := range script {
+		ops[i] = reach.EdgeOp{Remove: !u.Insert, From: u.Edge.From, To: u.Edge.To}
+	}
+	ctx := context.Background()
+	if err := db.Mutate(ctx, ops); err != nil {
+		b.Fatal(err)
+	}
+	qs := gen.Queries(g, 2048, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		if _, err := db.ReachCtx(ctx, q.S, q.T); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

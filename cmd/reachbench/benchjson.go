@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"time"
@@ -107,8 +108,10 @@ type labelBench struct {
 // index-free batch kernel against a sequential per-pair BFS loop over the
 // same pairs (CI gates on batch_speedup >= 1), DB.BatchReachCtx through
 // the serving index over those pairs (CI gates on db_batch_ns <=
-// batch_kernel_ns), and the DB result cache against an uncached DB on a
-// hot-pair workload. The batch workload is a
+// batch_kernel_ns), the DB result cache against an uncached DB on a
+// hot-pair workload, and overlay reads on a mutable DB against BiBFS over
+// the materialised live graph (CI gates on overlay_reach_ns <= 2 *
+// live_bibfs_ns). The batch workload is a
 // denser DAG than the per-kind one above — the kernel's win is the overlap
 // of the sources' reachable sets, which a 4-edges/vertex DAG barely has.
 type accelReport struct {
@@ -124,6 +127,11 @@ type accelReport struct {
 	DBCacheSpeedup    float64 `json:"db_cache_speedup"`
 	DBCacheHitRate    float64 `json:"db_cache_hit_rate"`
 	CondenseMemoHits  int64   `json:"condense_memo_hits"`
+	OverlayN          int     `json:"overlay_n"`
+	OverlayOps        int     `json:"overlay_ops"`
+	OverlayPairs      int     `json:"overlay_pairs"`
+	OverlayReachNs    int64   `json:"overlay_reach_ns"`
+	LiveBiBFSNs       int64   `json:"live_bibfs_ns"`
 }
 
 type benchKind struct {
@@ -534,5 +542,78 @@ func measureAccel(scale int, seed int64) *accelReport {
 		panic(err)
 	}
 	a.CondenseMemoHits = mdb.Prepared().Hits()
+	measureOverlayReach(a, scale, seed)
 	return a
+}
+
+// measureOverlayReach times point reads on a mutable DB whose overlay
+// holds a 2 048-op mixed update script (rebuilds off) and, on the same
+// pairs, traversal.BiBFS over the frozen graph the overlay describes.
+// Both figures are totals over the pairs.
+func measureOverlayReach(a *accelReport, scale int, seed int64) {
+	n := 20000 * scale
+	g := gen.RandomDAG(gen.Config{N: n, M: 4 * n, Seed: seed + 9})
+	dir, err := os.MkdirTemp("", "reachbench-overlay")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	db, err := reach.NewDB(g, reach.DBConfig{Mutation: &reach.MutationConfig{
+		WALPath: filepath.Join(dir, "overlay.wal"), Fsync: reach.FsyncNever, RebuildThreshold: -1,
+	}})
+	if err != nil {
+		panic(err)
+	}
+	defer db.Close()
+	script := gen.UpdateScript(g, 2048, true, seed+10)
+	live := make(map[[2]graph.V]bool, g.M())
+	for _, e := range g.EdgeList() {
+		live[[2]graph.V{e.From, e.To}] = true
+	}
+	ops := make([]reach.EdgeOp, len(script))
+	for i, u := range script {
+		ops[i] = reach.EdgeOp{Remove: !u.Insert, From: u.Edge.From, To: u.Edge.To}
+		if u.Insert {
+			live[[2]graph.V{u.Edge.From, u.Edge.To}] = true
+		} else {
+			delete(live, [2]graph.V{u.Edge.From, u.Edge.To})
+		}
+	}
+	ctx := context.Background()
+	if err := db.Mutate(ctx, ops); err != nil {
+		panic(err)
+	}
+	edges := make([][2]graph.V, 0, len(live))
+	for e := range live {
+		edges = append(edges, e)
+	}
+	lg := graph.FromEdges(n, edges)
+	qs := gen.Queries(lg, 2048, seed+11)
+	a.OverlayN, a.OverlayOps, a.OverlayPairs = n, len(ops), len(qs)
+
+	// Alternate the two passes and keep each one's fastest round, so a
+	// frequency swing during one pass cannot decide the CI ratio.
+	got := make([]bool, len(qs))
+	for r := 0; r < 5; r++ {
+		start := time.Now()
+		for i, q := range qs {
+			if got[i], err = db.ReachCtx(ctx, q.S, q.T); err != nil {
+				panic(err)
+			}
+		}
+		overlay := time.Since(start).Nanoseconds()
+		start = time.Now()
+		for i, q := range qs {
+			if traversal.BiBFS(lg, q.S, q.T) != got[i] {
+				panic("overlay read diverged from BiBFS over the live graph")
+			}
+		}
+		bibfs := time.Since(start).Nanoseconds()
+		if r == 0 || overlay < a.OverlayReachNs {
+			a.OverlayReachNs = overlay
+		}
+		if r == 0 || bibfs < a.LiveBiBFSNs {
+			a.LiveBiBFSNs = bibfs
+		}
+	}
 }

@@ -563,9 +563,7 @@ func (db *DB) ReachCtx(ctx context.Context, s, t V) (res bool, err error) {
 		tr.End(tok)
 	}
 	if !hit {
-		tok := tr.Begin("index/probe")
-		res = db.reachCurrent(s, t)
-		tr.End(tok)
+		res = db.reachCurrent(tr, s, t)
 		db.cache.Put(key, res)
 	}
 	tr.SetRoute(obs.RoutePlain.String())
@@ -838,22 +836,25 @@ func (db *DB) queryUnlabeled(s, t V, alpha string) (bool, error) {
 		return true, nil
 	}
 	if cl.PlusOnly {
-		// At least one edge: step to every successor, then plain-star.
+		// At least one edge: over a non-empty overlay, one search seeded
+		// with every live successor; otherwise step to each successor and
+		// probe the index for the plain-star rest.
+		g, ix := db.g, db.plainCurrent()
 		if db.mut != nil {
 			st := db.mut.state.Load()
-			return st.eachSucc(s, func(w V) bool {
-				return w == t || st.reach(w, t)
-			}), nil
+			if !st.ov.Empty() {
+				return st.ov.ReachPlus(st.g, s, t), nil
+			}
+			g, ix = st.g, st.ix
 		}
-		ix := db.plainCurrent()
-		for _, w := range db.g.Succ(s) {
+		for _, w := range g.Succ(s) {
 			if w == t || ix.Reach(w, t) {
 				return true, nil
 			}
 		}
 		return false, nil
 	}
-	return db.reachCurrent(s, t), nil
+	return db.reachCurrent(nil, s, t), nil
 }
 
 // plusAlternation answers (l1|l2|...)+ — at least one edge — by stepping
@@ -925,10 +926,7 @@ func (db *DB) ReachPath(s, t V) (path []V, err error) {
 		if !st.reach(s, t) {
 			return nil, nil
 		}
-		if st.ov.Empty() {
-			return traversal.WitnessPath(st.g, s, t), nil
-		}
-		return st.witnessPath(s, t), nil
+		return st.ov.Path(st.g, s, t), nil
 	}
 	if !db.plainCurrent().Reach(s, t) {
 		return nil, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // FuzzWALReplay hammers the recovery path with arbitrary bytes. The
@@ -92,4 +94,67 @@ func fuzzSeedImage(f *testing.F) []byte {
 		f.Fatalf("seed image lacks magic: %q", data[:8])
 	}
 	return data
+}
+
+// FuzzOverlaySearch runs an op sequence on a small graph and checks the
+// overlay search against BFS over an independently kept model of the
+// live graph. The first byte sizes the graph (2–10 vertices); each
+// following byte pair (a, b) is one step, its kind in a's top two bits
+// and its endpoints in a's low six bits and in b:
+//
+//	0 base edge (collected into the frozen base before any op runs)
+//	1 add, 2 remove
+//	3 reindexer hand-off: b even takes a snapshot (its live graph is
+//	  the next base), b odd rebases the overlay onto it
+func FuzzOverlaySearch(f *testing.F) {
+	f.Add([]byte{4, 0x00, 1, 0x01, 2, 0x42, 0, 0x81, 2})
+	f.Add([]byte{6, 0x00, 1, 0x01, 2, 0x02, 0, 0x85, 5, 0xc0, 0, 0x41, 3, 0x80, 1, 0xc0, 1, 0x40, 1})
+	f.Add([]byte{3, 0x00, 0, 0x80, 0, 0x40, 0, 0x80, 0, 0x40, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 256 {
+			return
+		}
+		n := 2 + int(data[0])%9
+		steps := data[1:]
+		model := map[[2]uint32]bool{}
+		var baseEdges [][2]uint32
+		for i := 0; i+1 < len(steps); i += 2 {
+			if steps[i]>>6 == 0 {
+				e := [2]uint32{uint32(steps[i]&63) % uint32(n), uint32(steps[i+1]) % uint32(n)}
+				baseEdges = append(baseEdges, e)
+				model[e] = true
+			}
+		}
+		g0 := graph.FromEdges(n, baseEdges)
+		cur := NewOverlay()
+		var snap *Overlay
+		var g1 *graph.Digraph
+		for i := 0; i+1 < len(steps); i += 2 {
+			a, b := steps[i], steps[i+1]
+			u, v := uint32(a&63)%uint32(n), uint32(b)%uint32(n)
+			switch a >> 6 {
+			case 1:
+				cur.Apply(Op{From: u, To: v}, g0.HasEdge)
+				model[[2]uint32{u, v}] = true
+			case 2:
+				cur.Apply(Op{Remove: true, From: u, To: v}, g0.HasEdge)
+				delete(model, [2]uint32{u, v})
+			case 3:
+				if b&1 == 0 || snap == nil {
+					snap, g1 = cur.Clone(), liveGraph(g0, cur)
+					continue
+				}
+				cur = Rebase(cur, snap, g0.HasEdge, g1.HasEdge)
+				g0, snap = g1, nil
+			}
+		}
+		var edges [][2]uint32
+		for e := range model {
+			edges = append(edges, e)
+		}
+		if !sameGraph(liveGraph(g0, cur), graph.FromEdges(n, edges)) {
+			t.Fatal("overlay diverged from the model live graph")
+		}
+		checkSearch(t, g0, cur)
+	})
 }

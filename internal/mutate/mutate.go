@@ -17,11 +17,13 @@
 //     bytes are always an error, never a panic, and never silently
 //     accepted.
 //   - Overlay: the delta the frozen index does not know about, as net
-//     added/removed edge sets. Queries traverse the small delta and
-//     consult the frozen index for the rest, so answers stay exact
-//     between background rebuilds. Overlays are persistent values:
-//     writers publish a fresh Clone+Apply through an atomic pointer,
-//     readers never lock.
+//     added/removed edge sets indexed by vertex. Queries keep the frozen
+//     index's answer where the overlay's shape leaves it exact and
+//     otherwise run one allocation-free bidirectional search over the
+//     base graph with the delta spliced in at touched vertices
+//     (Overlay.Reach), so answers stay exact between background
+//     rebuilds. Overlays are persistent values: writers publish a fresh
+//     Clone+Apply through an atomic pointer, readers never lock.
 //
 // The package is deliberately unlabeled-only (uint32 vertex pairs): the
 // root package gates DBConfig.Mutation to unlabeled graphs, where the

@@ -1,5 +1,12 @@
 package mutate
 
+import (
+	"slices"
+	"sync/atomic"
+
+	"repro/internal/bitset"
+)
+
 // Overlay is the net difference between the live graph and the frozen
 // graph the current index was built from: the edges added since the
 // freeze and the edges removed from it. It is maintained as a persistent
@@ -11,41 +18,118 @@ package mutate
 // nothing. That makes add/remove/add of the same edge (including
 // self-loops and edges duplicated in the base graph, which the base
 // stores deduplicated) converge to exactly one state per edge.
+//
+// The sets are stored by vertex, once per direction, for the two halves
+// of the search: succ holds each vertex's added successors and the
+// targets of its removed out-edges, pred the same toward each vertex.
+// Both are copy-on-write tables, so a Clone copies one pointer per chunk
+// of vertices and an Apply copies the chunks it writes — a commit costs
+// what it changes, not the overlay's size.
 type Overlay struct {
-	added   map[uint64]struct{}
-	removed map[uint64]struct{}
-	// addedSucc indexes added by source vertex for traversal.
-	addedSucc map[uint32][]uint32
+	succ, pred     table
+	added, removed int // net edge counts
+	// touched holds a bit for every endpoint of an added or removed
+	// edge, so the search consults the tables only at those vertices. It
+	// is a superset: an un-add or a cancelled removal leaves its bits set
+	// until the next Rebase, which costs a lookup, never an answer.
+	touched *bitset.Set
+	// gen stamps the chunks this overlay may write in place; every other
+	// chunk is shared with a clone and is copied before a write.
+	gen uint64
+}
+
+// delta is one vertex's overlaid adjacency in one direction: the added
+// neighbours, and the base neighbours whose edge is removed. A published
+// delta is never written; a change replaces it.
+type delta struct {
+	added, cut []uint32
+}
+
+// chunkBits sets the table's copy-on-write granularity: a Clone copies
+// n/256 chunk pointers and a write copies one 256-entry chunk, which
+// about balances the two for a commit of a few ops.
+const (
+	chunkBits = 8
+	chunkMask = 1<<chunkBits - 1
+)
+
+// table maps a vertex to its delta through chunks of 1<<chunkBits
+// entries.
+type table []*chunk
+
+type chunk struct {
+	gen   uint64
+	delta [1 << chunkBits]*delta
+}
+
+// lastGen numbers overlay generations; chunk ownership compares them.
+var lastGen atomic.Uint64
+
+// get returns v's delta, the zero delta when v has none.
+func (t table) get(v uint32) delta {
+	if i := int(v >> chunkBits); i < len(t) && t[i] != nil {
+		if d := t[i].delta[v&chunkMask]; d != nil {
+			return *d
+		}
+	}
+	return delta{}
+}
+
+// slot returns v's entry for writing, first copying its chunk unless
+// generation gen owns it.
+func (t *table) slot(v uint32, gen uint64) **delta {
+	i := int(v >> chunkBits)
+	if i >= len(*t) {
+		*t = append(*t, make([]*chunk, i+1-len(*t))...)
+	}
+	c := (*t)[i]
+	switch {
+	case c == nil:
+		c = &chunk{gen: gen}
+		(*t)[i] = c
+	case c.gen != gen:
+		cp := *c
+		cp.gen = gen
+		c = &cp
+		(*t)[i] = c
+	}
+	return &c.delta[v&chunkMask]
+}
+
+// each calls fn for every vertex with a delta, in vertex order.
+func (t table) each(fn func(v uint32, d *delta)) {
+	for i, c := range t {
+		if c == nil {
+			continue
+		}
+		for j, d := range c.delta {
+			if d != nil {
+				fn(uint32(i<<chunkBits|j), d)
+			}
+		}
+	}
 }
 
 // NewOverlay returns an empty overlay.
 func NewOverlay() *Overlay {
-	return &Overlay{
-		added:     make(map[uint64]struct{}),
-		removed:   make(map[uint64]struct{}),
-		addedSucc: make(map[uint32][]uint32),
-	}
+	return &Overlay{touched: &bitset.Set{}, gen: lastGen.Add(1)}
 }
 
 func edgeKey(from, to uint32) uint64 { return uint64(from)<<32 | uint64(to) }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent copy. Both o and the copy take fresh
+// generations, so neither writes a chunk they now share. Like Apply, it
+// must not run concurrently with another Clone or Apply on o.
 func (o *Overlay) Clone() *Overlay {
-	c := &Overlay{
-		added:     make(map[uint64]struct{}, len(o.added)),
-		removed:   make(map[uint64]struct{}, len(o.removed)),
-		addedSucc: make(map[uint32][]uint32, len(o.addedSucc)),
+	o.gen = lastGen.Add(1)
+	return &Overlay{
+		succ:    slices.Clone(o.succ),
+		pred:    slices.Clone(o.pred),
+		added:   o.added,
+		removed: o.removed,
+		touched: o.touched.Clone(),
+		gen:     lastGen.Add(1),
 	}
-	for k := range o.added {
-		c.added[k] = struct{}{}
-	}
-	for k := range o.removed {
-		c.removed[k] = struct{}{}
-	}
-	for u, succ := range o.addedSucc {
-		c.addedSucc[u] = append([]uint32(nil), succ...)
-	}
-	return c
 }
 
 // Apply folds one op into the overlay. inBase reports whether the edge
@@ -53,87 +137,121 @@ func (o *Overlay) Clone() *Overlay {
 // revert-of-remove, a no-op, or a genuine addition (and dually for
 // removes), keeping both sets net.
 func (o *Overlay) Apply(op Op, inBase func(from, to uint32) bool) {
-	k := edgeKey(op.From, op.To)
-	if op.Remove {
-		if _, ok := o.added[k]; ok {
-			o.unadd(k, op.From, op.To)
-			return
-		}
-		if inBase(op.From, op.To) {
-			o.removed[k] = struct{}{}
-		}
-		return
+	u, v := op.From, op.To
+	added, removed := o.HasAdded(u, v), o.HasRemoved(u, v)
+	switch {
+	case op.Remove && added:
+		o.drop(u, v, false)
+	case op.Remove && !removed && inBase(u, v):
+		o.insert(u, v, true)
+	case !op.Remove && removed:
+		o.drop(u, v, true)
+	case !op.Remove && !added && !inBase(u, v):
+		o.insert(u, v, false)
 	}
-	if _, ok := o.removed[k]; ok {
-		delete(o.removed, k)
-		return
-	}
-	if inBase(op.From, op.To) {
-		return
-	}
-	if _, ok := o.added[k]; ok {
-		return
-	}
-	o.added[k] = struct{}{}
-	o.addedSucc[op.From] = append(o.addedSucc[op.From], op.To)
 }
 
-func (o *Overlay) unadd(k uint64, from, to uint32) {
-	delete(o.added, k)
-	succ := o.addedSucc[from]
-	for i, v := range succ {
-		if v == to {
-			succ = append(succ[:i], succ[i+1:]...)
-			break
-		}
-	}
-	if len(succ) == 0 {
-		delete(o.addedSucc, from)
+// insert records from→to as added, or as removed when cut is set, in
+// both tables, and touches both endpoints.
+func (o *Overlay) insert(from, to uint32, cut bool) {
+	if cut {
+		o.removed++
 	} else {
-		o.addedSucc[from] = succ
+		o.added++
+	}
+	o.succ.link(o.gen, from, to, cut)
+	o.pred.link(o.gen, to, from, cut)
+	o.touched.Set(int(from))
+	o.touched.Set(int(to))
+}
+
+// drop is insert's inverse, except that touched bits stay set.
+func (o *Overlay) drop(from, to uint32, cut bool) {
+	if cut {
+		o.removed--
+	} else {
+		o.added--
+	}
+	o.succ.unlink(o.gen, from, to, cut)
+	o.pred.unlink(o.gen, to, from, cut)
+}
+
+// link adds w to v's added or cut list in a fresh delta.
+func (t *table) link(gen uint64, v, w uint32, cut bool) {
+	p := t.slot(v, gen)
+	var d delta
+	if *p != nil {
+		d = **p
+	}
+	if cut {
+		d.cut = append(slices.Clip(d.cut), w)
+	} else {
+		d.added = append(slices.Clip(d.added), w)
+	}
+	*p = &d
+}
+
+// unlink removes w from v's added or cut list in a fresh delta, and
+// clears v's entry once both lists are empty.
+func (t *table) unlink(gen uint64, v, w uint32, cut bool) {
+	p := t.slot(v, gen)
+	d := **p
+	l := &d.added
+	if cut {
+		l = &d.cut
+	}
+	if i := slices.Index(*l, w); i >= 0 {
+		*l = slices.Concat((*l)[:i], (*l)[i+1:])
+	}
+	if len(d.added)+len(d.cut) == 0 {
+		*p = nil
+	} else {
+		*p = &d
 	}
 }
 
 // Empty reports whether the overlay changes nothing.
-func (o *Overlay) Empty() bool { return len(o.added) == 0 && len(o.removed) == 0 }
+func (o *Overlay) Empty() bool { return o.added == 0 && o.removed == 0 }
 
 // AddedCount returns the number of net-added edges.
-func (o *Overlay) AddedCount() int { return len(o.added) }
+func (o *Overlay) AddedCount() int { return o.added }
 
 // RemovedCount returns the number of net-removed edges.
-func (o *Overlay) RemovedCount() int { return len(o.removed) }
+func (o *Overlay) RemovedCount() int { return o.removed }
 
 // Size returns the total number of overlaid edges.
-func (o *Overlay) Size() int { return len(o.added) + len(o.removed) }
+func (o *Overlay) Size() int { return o.added + o.removed }
 
 // HasAdded reports whether (from,to) is net-added.
 func (o *Overlay) HasAdded(from, to uint32) bool {
-	_, ok := o.added[edgeKey(from, to)]
-	return ok
+	return slices.Contains(o.succ.get(from).added, to)
 }
 
 // HasRemoved reports whether (from,to) is net-removed.
 func (o *Overlay) HasRemoved(from, to uint32) bool {
-	_, ok := o.removed[edgeKey(from, to)]
-	return ok
+	return slices.Contains(o.succ.get(from).cut, to)
 }
 
 // AddedSucc returns the net-added successors of u. The slice is shared;
 // callers must not mutate it.
-func (o *Overlay) AddedSucc(u uint32) []uint32 { return o.addedSucc[u] }
+func (o *Overlay) AddedSucc(u uint32) []uint32 { return o.succ.get(u).added }
 
-// AddedEdges calls fn for every net-added edge.
+// AddedEdges calls fn for every net-added edge, in source order.
 func (o *Overlay) AddedEdges(fn func(from, to uint32)) {
-	for k := range o.added {
-		fn(uint32(k>>32), uint32(k))
-	}
+	o.succ.each(func(u uint32, d *delta) {
+		for _, v := range d.added {
+			fn(u, v)
+		}
+	})
 }
 
-// RemovedEdges calls fn for every net-removed edge.
+// RemovedEdges calls fn for every net-removed edge, in source order.
 func (o *Overlay) RemovedEdges(fn func(from, to uint32)) {
-	for k := range o.removed {
-		fn(uint32(k>>32), uint32(k))
-	}
+	o.succ.each(func(u uint32, d *delta) {
+		for _, v := range d.cut {
+			fn(u, v)
+		}
+	})
 }
 
 // Rebase computes the overlay that carries cur's live graph forward over
@@ -151,12 +269,12 @@ func (o *Overlay) RemovedEdges(fn func(from, to uint32)) {
 func Rebase(cur, snap *Overlay, g0Has, g1Has func(from, to uint32) bool) *Overlay {
 	out := NewOverlay()
 	seen := make(map[uint64]struct{}, cur.Size()+snap.Size())
-	consider := func(k uint64) {
+	consider := func(from, to uint32) {
+		k := edgeKey(from, to)
 		if _, ok := seen[k]; ok {
 			return
 		}
 		seen[k] = struct{}{}
-		from, to := uint32(k>>32), uint32(k)
 		var present bool
 		switch {
 		case cur.HasAdded(from, to):
@@ -168,23 +286,14 @@ func Rebase(cur, snap *Overlay, g0Has, g1Has func(from, to uint32) bool) *Overla
 		}
 		switch {
 		case present && !g1Has(from, to):
-			out.added[k] = struct{}{}
-			out.addedSucc[from] = append(out.addedSucc[from], to)
+			out.insert(from, to, false)
 		case !present && g1Has(from, to):
-			out.removed[k] = struct{}{}
+			out.insert(from, to, true)
 		}
 	}
-	for k := range cur.added {
-		consider(k)
-	}
-	for k := range cur.removed {
-		consider(k)
-	}
-	for k := range snap.added {
-		consider(k)
-	}
-	for k := range snap.removed {
-		consider(k)
-	}
+	cur.AddedEdges(consider)
+	cur.RemovedEdges(consider)
+	snap.AddedEdges(consider)
+	snap.RemovedEdges(consider)
 	return out
 }

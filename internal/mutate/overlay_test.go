@@ -172,6 +172,114 @@ func checkOverlay(t *testing.T, o *Overlay, wantAdded, wantRemoved [][2]uint32) 
 		t.Errorf("addedSucc holds %d entries, want %d (phantom or dropped successor)",
 			nsucc, len(wantAdded))
 	}
+	checkIndexes(t, o)
+}
+
+// checkIndexes requires the search's indexes to agree with the net sets:
+// succ and pred hold exactly the added and the removed edges, and both
+// endpoints of every added or removed edge are touched.
+func checkIndexes(t *testing.T, o *Overlay) {
+	t.Helper()
+	has := func(list []uint32, x uint32) bool {
+		for _, y := range list {
+			if y == x {
+				return true
+			}
+		}
+		return false
+	}
+	o.AddedEdges(func(u, v uint32) {
+		if !has(o.AddedSucc(u), v) || !has(o.pred.get(v).added, u) {
+			t.Errorf("added %d→%d missing from succ %v or pred %v", u, v, o.AddedSucc(u), o.pred.get(v).added)
+		}
+		if !o.touched.Test(int(u)) || !o.touched.Test(int(v)) {
+			t.Errorf("added %d→%d has an untouched endpoint", u, v)
+		}
+	})
+	o.RemovedEdges(func(u, v uint32) {
+		if !o.touched.Test(int(u)) || !o.touched.Test(int(v)) {
+			t.Errorf("removed %d→%d has an untouched endpoint", u, v)
+		}
+	})
+	for name, tab := range map[string]table{"succ": o.succ, "pred": o.pred} {
+		added, cut := 0, 0
+		tab.each(func(v uint32, d *delta) {
+			if len(d.added)+len(d.cut) == 0 {
+				t.Errorf("%s keeps an empty entry for %d", name, v)
+			}
+			for _, w := range d.cut {
+				from, to := v, w
+				if name == "pred" {
+					from, to = w, v
+				}
+				if !o.HasRemoved(from, to) {
+					t.Errorf("%s[%d] cuts %d, which is not removed", name, v, w)
+				}
+			}
+			added += len(d.added)
+			cut += len(d.cut)
+		})
+		if added != o.AddedCount() || cut != o.RemovedCount() {
+			t.Errorf("%s holds %d added / %d cut entries, want %d / %d (phantom or dropped edge)",
+				name, added, cut, o.AddedCount(), o.RemovedCount())
+		}
+	}
+}
+
+// TestOverlayIndexesConsistent checks the vertex indexes and the touched bitset
+// against the net sets after each way an overlay is produced: Apply
+// (including un-add and cancelled removals), Clone, and Rebase.
+func TestOverlayIndexesConsistent(t *testing.T) {
+	base := baseOf([2]uint32{1, 2}, [2]uint32{2, 3}, [2]uint32{7, 7})
+	tests := []struct {
+		name string
+		ops  []Op
+	}{
+		{"adds", []Op{add(1, 3), add(4, 5), add(1, 5), add(9, 1)}},
+		{"shared endpoints", []Op{add(1, 5), add(2, 5), add(5, 1), add(5, 5)}},
+		{"removals", []Op{remove(1, 2), remove(7, 7)}},
+		{"un-add keeps the rest", []Op{add(1, 5), add(2, 5), add(1, 6), remove(1, 5)}},
+		{"un-add of the last pred", []Op{add(4, 5), remove(4, 5)}},
+		{"cancelled removal", []Op{remove(2, 3), add(2, 3)}},
+		{"add remove re-add", []Op{add(8, 9), remove(8, 9), add(8, 9)}},
+		{"self-loops", []Op{add(6, 6), remove(7, 7), add(7, 7), add(6, 6)}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			o := NewOverlay()
+			for _, op := range tc.ops {
+				o.Apply(op, base)
+				checkIndexes(t, o)
+			}
+			c := o.Clone()
+			checkIndexes(t, c)
+			c.Apply(add(40, 41), base)
+			c.Apply(remove(1, 2), base)
+			for _, v := range o.pred.get(5).added {
+				c.Apply(remove(v, 5), base) // un-adds in the clone only
+			}
+			checkIndexes(t, c)
+			checkIndexes(t, o)
+			if o.touched.Test(40) || o.touched.Test(41) || len(o.pred.get(41).added) != 0 {
+				t.Fatal("clone's add leaked into the original's indexes")
+			}
+			// Fold o into a new base and rebase the clone onto it.
+			g1 := func(from, to uint32) bool {
+				switch {
+				case o.HasAdded(from, to):
+					return true
+				case o.HasRemoved(from, to):
+					return false
+				}
+				return base(from, to)
+			}
+			out := Rebase(c, o, base, g1)
+			checkIndexes(t, out)
+			if !out.HasAdded(40, 41) || len(out.pred.get(41).added) != 1 {
+				t.Fatalf("rebase lost the clone's add: pred(41) = %v", out.pred.get(41).added)
+			}
+		})
+	}
 }
 
 func sortEdges(es [][2]uint32) {
@@ -213,6 +321,13 @@ func TestOverlayCloneIsolation(t *testing.T) {
 	// Deep copy extends to the successor index.
 	if got := o.AddedSucc(5); len(got) != 0 {
 		t.Fatalf("original AddedSucc(5) = %v", got)
+	}
+	// Writes to the original after the clone stay out of the clone, also
+	// in the vertex chunks the two shared.
+	o.Apply(add(3, 5), base)
+	o.Apply(remove(3, 4), base)
+	if c.HasAdded(3, 5) || !c.HasAdded(3, 4) || len(c.AddedSucc(3)) != 1 {
+		t.Fatalf("clone changed through the original: AddedSucc(3) = %v", c.AddedSucc(3))
 	}
 }
 

@@ -515,30 +515,42 @@ func (db *DB) MutationStats() (stats MutationStats, ok bool) {
 	}, true
 }
 
-// reachCurrent answers plain reachability against the live graph: the
-// serving plain index when the DB is not mutable (or the overlay is
-// empty), exact overlay-aware evaluation otherwise. On an auto-tuned DB
-// the serving index is whatever the advisor last published.
-func (db *DB) reachCurrent(s, t V) bool {
+// reachCurrent answers plain reachability against the live graph as one
+// trace phase: the serving plain index when the DB is not mutable (or the
+// overlay is empty), exact overlay-aware evaluation otherwise. On an
+// auto-tuned DB the serving index is whatever the advisor last published.
+// A read over a non-empty overlay is traced as "overlay/search"; with
+// tracing off (tr == nil) choosing the name costs one compare.
+func (db *DB) reachCurrent(tr *obs.Trace, s, t V) bool {
 	if db.mut == nil {
-		return db.plainCurrent().Reach(s, t)
+		tok := tr.Begin("index/probe")
+		res := db.plainCurrent().Reach(s, t)
+		tr.End(tok)
+		return res
 	}
-	return db.mut.state.Load().reach(s, t)
+	st := db.mut.state.Load()
+	phase := "index/probe"
+	if tr != nil && !st.ov.Empty() {
+		phase = "overlay/search"
+	}
+	tok := tr.Begin(phase)
+	res := st.reach(s, t)
+	tr.End(tok)
+	return res
 }
 
-// reach is the delta-overlay query path. Exactness argument, by overlay
-// shape:
+// reach is the delta-overlay query path. Three overlay shapes keep a
+// cheap exact answer from the frozen index:
 //
 //   - Empty overlay: the frozen index is the live graph. Probe it.
 //   - Adds only: the live graph is a supergraph of the frozen one, so
-//     the index's positives stay valid (probe first) and its negatives
-//     can only be flipped by paths through added edges — found by the
-//     anchor search over the added-edge set (reachWithAdds).
-//   - Removals present: the index's positives are no longer trustworthy
-//     (the certifying path may use a removed edge), so positives are
-//     recomputed by BFS over the overlaid adjacency. Negatives stay
-//     trustworthy when there are no adds — removing edges only shrinks
-//     reachability — which gives the negative shortcut.
+//     the index's positives stay valid.
+//   - Removals only: the live graph is a subgraph, so the index's
+//     negatives stay valid.
+//
+// Everything else — an adds-only negative, a removals-only positive, any
+// mixed overlay — is decided by the bidirectional search over the
+// overlaid adjacency (mutate.Overlay.Reach).
 func (st *mutState) reach(s, t V) bool {
 	if s == t {
 		return true
@@ -547,145 +559,12 @@ func (st *mutState) reach(s, t V) bool {
 	switch {
 	case ov.Empty():
 		return st.ix.Reach(s, t)
-	case ov.RemovedCount() == 0:
-		if st.ix.Reach(s, t) {
-			return true
-		}
-		return st.reachWithAdds(s, t)
+	case ov.RemovedCount() == 0 && st.ix.Reach(s, t):
+		return true
 	case ov.AddedCount() == 0 && !st.ix.Reach(s, t):
 		return false
-	default:
-		return st.bfsOverlaid(s, t)
 	}
-}
-
-// reachWithAdds decides s→t on base+adds given the frozen index already
-// said no on the base graph alone. Any witnessing path must cross added
-// edges; between crossings it runs on the base graph, where the index is
-// exact. So search over "anchors": s plus the heads of activated added
-// edges. An added edge (u, v) activates when some anchor base-reaches u;
-// an anchor that base-reaches t wins. Each of the A added edges
-// activates at most once, giving O(A²) index probes worst case — A is
-// bounded by the rebuild threshold, and probes are microseconds.
-func (st *mutState) reachWithAdds(s, t V) bool {
-	type edge struct{ u, v V }
-	edges := make([]edge, 0, st.ov.AddedCount())
-	st.ov.AddedEdges(func(u, v uint32) {
-		edges = append(edges, edge{u, v})
-	})
-	anchors := []V{s}
-	seen := map[V]bool{s: true}
-	used := make([]bool, len(edges))
-	for i := 0; i < len(anchors); i++ {
-		a := anchors[i]
-		if i > 0 && (a == t || st.ix.Reach(a, t)) {
-			// i == 0 is s itself, whose base probe the caller already made.
-			return true
-		}
-		for j, e := range edges {
-			if used[j] || seen[e.v] {
-				continue
-			}
-			if a == e.u || st.ix.Reach(a, e.u) {
-				used[j] = true
-				seen[e.v] = true
-				anchors = append(anchors, e.v)
-			}
-		}
-	}
-	return false
-}
-
-// bfsOverlaid runs a plain BFS over the overlaid adjacency — base
-// successors minus removed edges plus added ones. The exact fallback
-// when removals invalidate the frozen index's positives.
-func (st *mutState) bfsOverlaid(s, t V) bool {
-	n := st.g.N()
-	visited := make([]bool, n)
-	visited[s] = true
-	queue := make([]V, 1, 64)
-	queue[0] = s
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		found := st.eachSucc(u, func(v V) bool {
-			if v == t {
-				return true
-			}
-			if !visited[v] {
-				visited[v] = true
-				queue = append(queue, v)
-			}
-			return false
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-// eachSucc iterates u's successors in the live graph (base minus removed
-// plus added); fn returning true stops the iteration and is propagated.
-func (st *mutState) eachSucc(u V, fn func(v V) bool) bool {
-	ov := st.ov
-	for _, v := range st.g.Succ(u) {
-		if ov.RemovedCount() > 0 && ov.HasRemoved(u, v) {
-			continue
-		}
-		if fn(v) {
-			return true
-		}
-	}
-	for _, v := range ov.AddedSucc(u) {
-		if fn(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// witnessPath reconstructs a shortest s→t path on the overlaid graph by
-// parent-tracking BFS. Caller has established reachability.
-func (st *mutState) witnessPath(s, t V) []V {
-	if s == t {
-		return []V{s}
-	}
-	n := st.g.N()
-	parent := make([]int64, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[s] = int64(s)
-	queue := make([]V, 1, 64)
-	queue[0] = s
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		done := st.eachSucc(u, func(v V) bool {
-			if parent[v] >= 0 {
-				return false
-			}
-			parent[v] = int64(u)
-			if v == t {
-				return true
-			}
-			queue = append(queue, v)
-			return false
-		})
-		if done {
-			path := []V{t}
-			for v := t; v != s; {
-				v = V(parent[v])
-				path = append(path, v)
-			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			return path
-		}
-	}
-	return nil
+	return ov.Reach(st.g, s, t)
 }
 
 // BatchReachCtx evaluates many plain reachability queries against the

@@ -18,6 +18,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/gen"
 	"repro/internal/mutate"
+	"repro/internal/obs"
 	"repro/internal/tc"
 )
 
@@ -667,5 +668,83 @@ func TestMutableFlushDurabilityMetrics(t *testing.T) {
 	}
 	if after.Mutation.WALAppends == 0 || after.Mutation.Applied != 1 {
 		t.Fatalf("appends=%d applied=%d", after.Mutation.WALAppends, after.Mutation.Applied)
+	}
+}
+
+// mixedOverlayDB returns a mutable DB over a RandomDAG whose overlay
+// holds a pinned mixed script of adds and removals (rebuilds off), and
+// query pairs over it.
+func mixedOverlayDB(t *testing.T, n, ops int, tracing bool) (*DB, []gen.Query) {
+	t.Helper()
+	g := gen.RandomDAG(gen.Config{N: n, M: 4 * n, Seed: 91})
+	mc := MutationConfig{WALPath: filepath.Join(t.TempDir(), "test.wal"), RebuildThreshold: -1, Fsync: FsyncNever}
+	db, err := NewDB(g, DBConfig{Mutation: &mc, Tracing: tracing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	var eops []EdgeOp
+	for _, u := range gen.UpdateScript(g, ops, true, 92) {
+		eops = append(eops, EdgeOp{Remove: !u.Insert, From: u.Edge.From, To: u.Edge.To})
+	}
+	if err := db.Mutate(context.Background(), eops); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := db.MutationStats(); st.OverlayAdded == 0 || st.OverlayRemoved == 0 {
+		t.Fatalf("overlay is not mixed: %+v", st)
+	}
+	return db, gen.Queries(g, 256, 93)
+}
+
+// TestMutableReachAllocationGate: a point read on a mutable DB with a
+// mixed overlay allocates nothing at steady state — the overlay search
+// draws its visited sets and frontiers from the pooled scratch arena.
+func TestMutableReachAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	db, qs := mixedOverlayDB(t, 5000, 512, false)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, q := range qs {
+			if _, err := db.ReachCtx(ctx, q.S, q.T); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per sweep of %d overlay reads, want 0", allocs, len(qs))
+	}
+}
+
+// TestMutableTracePhase: a read over a non-empty overlay is traced as
+// overlay/search; over an empty overlay it stays index/probe.
+func TestMutableTracePhase(t *testing.T) {
+	db, _ := mixedOverlayDB(t, 200, 64, true)
+	tracer := obs.NewTracer(4, 0)
+	phase := func(db *DB) string {
+		tr := tracer.Start("")
+		if _, err := db.ReachCtx(obs.WithTrace(context.Background(), tr), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := tracer.Finish(tr)
+		if len(rec.Phases) != 1 {
+			t.Fatalf("phases = %+v, want one", rec.Phases)
+		}
+		return rec.Phases[0].Name
+	}
+	if got := phase(db); got != "overlay/search" {
+		t.Fatalf("non-empty overlay read traced as %q, want overlay/search", got)
+	}
+	g := gen.RandomDAG(gen.Config{N: 200, M: 800, Seed: 94})
+	empty, err := NewDB(g, DBConfig{Tracing: true, Mutation: &MutationConfig{
+		WALPath: filepath.Join(t.TempDir(), "empty.wal"), RebuildThreshold: -1, Fsync: FsyncNever,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	if got := phase(empty); got != "index/probe" {
+		t.Fatalf("empty overlay read traced as %q, want index/probe", got)
 	}
 }
